@@ -89,6 +89,30 @@ BENCHMARK(BM_BestInsertion)->Arg(2)->Arg(6)->Arg(12)->Arg(20);
 
 // --------------------------------------------------------- attention ----
 
+// A fleet of `m` feasible vehicles with uniform random features and
+// positions on an 8 km square campus.
+dpdp::FleetState RandomFleet(dpdp::Rng* rng, int m) {
+  dpdp::FleetState fleet;
+  fleet.features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
+  fleet.positions = dpdp::nn::Matrix(m, 2);
+  fleet.feasible.assign(m, 1);
+  for (int r = 0; r < m; ++r) {
+    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
+      fleet.features(r, c) = rng->Uniform();
+    }
+    fleet.positions(r, 0) = rng->Uniform(0, 8);
+    fleet.positions(r, 1) = rng->Uniform(0, 8);
+  }
+  return fleet;
+}
+
+// Appends the whole of `fleet` to `batch` as one relational item.
+void AppendFleet(const dpdp::FleetState& fleet, int num_neighbors,
+                 dpdp::DecisionBatch* batch) {
+  dpdp::AppendSubFleetInputs(fleet, fleet.FeasibleIndices(),
+                             /*use_graph=*/true, num_neighbors, batch);
+}
+
 void BM_AttentionForward(benchmark::State& state) {
   const int fleet = static_cast<int>(state.range(0));
   dpdp::Rng rng(1);
@@ -97,14 +121,10 @@ void BM_AttentionForward(benchmark::State& state) {
   for (int r = 0; r < fleet; ++r) {
     for (int c = 0; c < 32; ++c) x(r, c) = rng.Normal();
   }
-  dpdp::nn::Matrix pos(fleet, 2);
-  for (int r = 0; r < fleet; ++r) {
-    pos(r, 0) = rng.Uniform(0, 8);
-    pos(r, 1) = rng.Uniform(0, 8);
-  }
-  const dpdp::nn::Matrix adj = dpdp::BuildNeighborAdjacency(pos, 8);
+  dpdp::DecisionBatch batch;
+  AppendFleet(RandomFleet(&rng, fleet), 8, &batch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attn.Forward(x, adj));
+    benchmark::DoNotOptimize(attn.Forward(x, batch.neighbors()));
   }
 }
 BENCHMARK(BM_AttentionForward)->Arg(10)->Arg(50)->Arg(150);
@@ -121,10 +141,10 @@ void BM_AttentionBackward(benchmark::State& state) {
       dy(r, c) = rng.Normal();
     }
   }
-  const dpdp::nn::Matrix adj =
-      dpdp::nn::Matrix(fleet, fleet, 0.0).Add(dpdp::nn::Matrix::Identity(fleet));
+  dpdp::DecisionBatch self_only;
+  AppendFleet(RandomFleet(&rng, fleet), 0, &self_only);
   for (auto _ : state) {
-    attn.Forward(x, adj);
+    attn.Forward(x, self_only.neighbors());
     attn.Backward(dy);
   }
 }
@@ -202,19 +222,8 @@ void BM_GraphQForward(benchmark::State& state) {
   dpdp::Rng rng(3);
   dpdp::AgentConfig config = dpdp::MakeStDdgnConfig(1);
   dpdp::GraphQNetwork net(config, &rng);
-  dpdp::nn::Matrix features(feasible, dpdp::kStateFeatures);
-  dpdp::nn::Matrix pos(feasible, 2);
-  for (int r = 0; r < feasible; ++r) {
-    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
-      features(r, c) = rng.Uniform();
-    }
-    pos(r, 0) = rng.Uniform(0, 8);
-    pos(r, 1) = rng.Uniform(0, 8);
-  }
-  const dpdp::nn::Matrix adj =
-      dpdp::BuildNeighborAdjacency(pos, config.num_neighbors);
   dpdp::DecisionBatch batch;
-  batch.Add(features, adj);
+  AppendFleet(RandomFleet(&rng, feasible), config.num_neighbors, &batch);
   net.EvaluateBatch(batch);  // Warm the activation caches.
   const long long before = AllocCount();
   for (auto _ : state) {
@@ -229,25 +238,11 @@ BENCHMARK(BM_GraphQForward)->Arg(10)->Arg(30)->Arg(75)->Arg(150);
 // ------------------------------------------- batched Q evaluation API ----
 
 // Builds `items` feasible sub-fleets of 30 vehicles each as one
-// DecisionBatch (block-diagonal adjacency) and scores them in a single
-// forward pass. Compare against BM_QForwardLooped, which walks the same
-// items one one-item DecisionBatch at a time (the unbatched decision
-// loop). allocs_per_op must read 0: the decision hot path reuses every
-// buffer in steady state.
-void MakeSubFleetItem(dpdp::Rng* rng, int m, int num_neighbors,
-                      dpdp::nn::Matrix* features, dpdp::nn::Matrix* adj) {
-  *features = dpdp::nn::Matrix(m, dpdp::kStateFeatures);
-  dpdp::nn::Matrix pos(m, 2);
-  for (int r = 0; r < m; ++r) {
-    for (int c = 0; c < dpdp::kStateFeatures; ++c) {
-      (*features)(r, c) = rng->Uniform();
-    }
-    pos(r, 0) = rng->Uniform(0, 8);
-    pos(r, 1) = rng->Uniform(0, 8);
-  }
-  *adj = dpdp::BuildNeighborAdjacency(pos, num_neighbors);
-}
-
+// DecisionBatch (stacked features and neighbour lists) and scores them in
+// a single forward pass. Compare against BM_QForwardLooped, which walks
+// the same items one one-item DecisionBatch at a time (the unbatched
+// decision loop). allocs_per_op must read 0: the decision hot path reuses
+// every buffer in steady state.
 void BM_EvaluateBatch(benchmark::State& state) {
   const int items = static_cast<int>(state.range(0));
   const int m = 30;
@@ -256,10 +251,7 @@ void BM_EvaluateBatch(benchmark::State& state) {
   dpdp::GraphQNetwork net(config, &rng);
   dpdp::DecisionBatch batch;
   for (int i = 0; i < items; ++i) {
-    dpdp::nn::Matrix features;
-    dpdp::nn::Matrix adj;
-    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &adj);
-    batch.Add(features, adj);
+    AppendFleet(RandomFleet(&rng, m), config.num_neighbors, &batch);
   }
   net.EvaluateBatch(batch);  // Warm the activation caches.
   const long long before = AllocCount();
@@ -283,10 +275,7 @@ void BM_QForwardLooped(benchmark::State& state) {
   dpdp::GraphQNetwork net(config, &rng);
   std::vector<dpdp::DecisionBatch> batches(items);
   for (int i = 0; i < items; ++i) {
-    dpdp::nn::Matrix features;
-    dpdp::nn::Matrix adj;
-    MakeSubFleetItem(&rng, m, config.num_neighbors, &features, &adj);
-    batches[i].Add(features, adj);
+    AppendFleet(RandomFleet(&rng, m), config.num_neighbors, &batches[i]);
   }
   net.EvaluateBatch(batches[0]);  // Warm the activation caches.
   const long long before = AllocCount();

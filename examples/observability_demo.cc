@@ -6,8 +6,8 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   DPDP_METRICS_DIR=/tmp/dpdp_obs DPDP_TRACE=1 \
-//       ./build/examples/observability_demo
+//   export DPDP_METRICS_DIR=/tmp/dpdp_obs DPDP_TRACE=1
+//   ./build/examples/observability_demo
 //
 // Afterwards /tmp/dpdp_obs contains:
 //   metrics.csv            one row per training episode (loss, epsilon,

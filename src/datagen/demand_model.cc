@@ -86,6 +86,19 @@ double DemandModel::Rate(int factory_ordinal, int interval, int day) const {
          DayFactor(factory_ordinal, day);
 }
 
+std::vector<double> DemandModel::DayRates(int factory_ordinal,
+                                          int day) const {
+  DPDP_CHECK(factory_ordinal >= 0 && factory_ordinal < num_factories());
+  const double day_factor = DayFactor(factory_ordinal, day);
+  std::vector<double> rates(num_intervals_);
+  for (int j = 0; j < num_intervals_; ++j) {
+    // Same product order as Rate, so every entry rounds identically.
+    rates[j] = weights_[factory_ordinal] * TimeProfile(factory_ordinal, j) *
+               day_factor;
+  }
+  return rates;
+}
+
 double DemandModel::TotalRate(int day) const {
   double total = 0.0;
   for (int i = 0; i < num_factories(); ++i) {

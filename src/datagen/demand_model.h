@@ -27,8 +27,13 @@ class DemandModel {
   int num_factories() const { return static_cast<int>(weights_.size()); }
   int num_intervals() const { return num_intervals_; }
 
-  /// Expected relative demand intensity; non-negative.
+  /// Expected relative demand intensity; non-negative. Costs O(day): the
+  /// day factor replays the AR(1) process from day 0.
   double Rate(int factory_ordinal, int interval, int day) const;
+
+  /// Rate(factory_ordinal, j, day) for every interval j, bit for bit, with
+  /// the day factor computed once: O(day + intervals) for the whole day.
+  std::vector<double> DayRates(int factory_ordinal, int day) const;
 
   /// Sum of Rate over all factories and intervals for a day (used to scale
   /// to a target order count).

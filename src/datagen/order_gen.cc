@@ -108,8 +108,9 @@ std::vector<Order> GenerateDayOrders(const RoadNetwork& network,
 
   for (int i = 0; i < network.num_factories(); ++i) {
     FillDeliveryWeights(network, demand, config, i, &delivery_weights);
+    const std::vector<double> rates = demand.DayRates(i, day);
     for (int j = 0; j < num_intervals; ++j) {
-      const double base_mean = demand.Rate(i, j, day) * scale;
+      const double base_mean = rates[j] * scale;
       const double interval_start = static_cast<double>(j) *
                                     minutes_per_interval;
 

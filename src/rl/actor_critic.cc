@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace dpdp {
 
@@ -70,8 +71,11 @@ int ActorCriticAgent::Act(const DispatchContext& context) {
   }
   const int action = idx[sub_action];
   if (training_) {
-    episode_.push_back({StoredFleetState::FromFleetState(state), action,
-                        InstantReward(context, action, config_)});
+    EpisodeStep step;
+    step.state = StoredFleetState::FromFleetState(state);
+    step.action = action;
+    step.instant_reward = InstantReward(context, action, config_);
+    episode_.push_back(std::move(step));
     decision_recorded_ = true;
   }
   return action;

@@ -6,37 +6,22 @@
 namespace dpdp {
 
 void DecisionBatch::Clear() {
-  num_items_ = 0;
   offsets_.resize(1);
   features_.Resize(0, features_.cols());
-  row_spans_.clear();
-  adjacency_dirty_ = true;
+  neighbors_.Clear();
 }
 
 int DecisionBatch::AddItem(int rows, int cols) {
   DPDP_CHECK(rows >= 0 && cols > 0);
   DPDP_CHECK(features_.rows() == 0 || features_.cols() == cols);
-  const int item = num_items_;
+  const int item = num_items();
   const int begin = offsets_[item];
   features_.Resize(begin + rows, cols);
   offsets_.push_back(begin + rows);
-  row_spans_.insert(row_spans_.end(), static_cast<size_t>(rows),
-                    {begin, begin + rows});
-  if (item < static_cast<int>(adjacencies_.size())) {
-    adjacencies_[item].Resize(rows, rows);
-    adjacencies_[item].Fill(0.0);
-  } else {
-    adjacencies_.emplace_back(rows, rows);
-  }
-  ++num_items_;
-  adjacency_dirty_ = true;
   return item;
 }
 
-int DecisionBatch::Add(const nn::Matrix& features,
-                       const nn::Matrix& adjacency) {
-  DPDP_CHECK(adjacency.empty() || (adjacency.rows() == features.rows() &&
-                                   adjacency.cols() == features.rows()));
+int DecisionBatch::Add(const nn::Matrix& features) {
   const int item = AddItem(features.rows(), features.cols());
   const int begin = offset(item);
   for (int r = 0; r < features.rows(); ++r) {
@@ -44,35 +29,21 @@ int DecisionBatch::Add(const nn::Matrix& features,
       features_(begin + r, c) = features(r, c);
     }
   }
-  if (!adjacency.empty()) adjacencies_[item] = adjacency;
   return item;
 }
 
-nn::Matrix& DecisionBatch::mutable_adjacency(int item) {
-  DPDP_CHECK(item >= 0 && item < num_items_);
-  adjacency_dirty_ = true;
-  return adjacencies_[item];
-}
-
-const nn::Matrix& DecisionBatch::adjacency() const {
-  if (adjacency_dirty_) {
-    const int total = total_rows();
-    block_adjacency_.Resize(total, total);
-    block_adjacency_.Fill(0.0);
-    for (int i = 0; i < num_items_; ++i) {
-      const nn::Matrix& a = adjacencies_[i];
-      const int begin = offsets_[i];
-      const int m = rows(i);
-      DPDP_CHECK(a.rows() == m && a.cols() == m);
-      for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < m; ++c) {
-          block_adjacency_(begin + r, begin + c) = a(r, c);
-        }
-      }
-    }
-    adjacency_dirty_ = false;
+int DecisionBatch::Add(const nn::Matrix& features,
+                       const nn::NeighborLists& neighbors) {
+  DPDP_CHECK(neighbors.rows() == features.rows());
+  const int item = Add(features);
+  const int begin = offset(item);
+  DPDP_CHECK(neighbors_.rows() == begin);
+  const int base = static_cast<int>(neighbors_.index.size());
+  for (int r = 1; r <= neighbors.rows(); ++r) {
+    neighbors_.offsets.push_back(base + neighbors.offsets[r]);
   }
-  return block_adjacency_;
+  for (int j : neighbors.index) neighbors_.index.push_back(begin + j);
+  return item;
 }
 
 MlpQNetwork::MlpQNetwork(const AgentConfig& config, Rng* rng)
@@ -111,15 +82,13 @@ const nn::Matrix& GraphQNetwork::EvaluateBatch(const DecisionBatch& batch) {
   DPDP_TRACE_SPAN("nn.forward");
   const int m = batch.total_rows();
   const int d = encoder_.out_dim();
-  const nn::Matrix& adjacency = batch.adjacency();
 
   // The level outputs live in the layers' own buffers; each level has its
   // own ReLU, so the references stay valid through concatenation.
   level_[0] = &encoder_.Forward(batch.features(), ws_);
   for (int l = 0; l < levels_; ++l) {
     level_[l + 1] = &relus_[l].Forward(
-        attention_[l].Forward(*level_[l], adjacency, &batch.row_spans(),
-                              ws_),
+        attention_[l].Forward(*level_[l], batch.neighbors(), ws_),
         ws_);
   }
   // Concatenate every level's representation (paper: initial + high-level

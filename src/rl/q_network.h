@@ -15,12 +15,11 @@ namespace dpdp {
 
 /// A batch of candidate decision items for one Q-network evaluation. Each
 /// item is a feasible sub-fleet: `rows(i)` feature rows (one per candidate
-/// vehicle) plus an optional per-item adjacency. Items are stacked into a
-/// single feature matrix so the network scores every candidate of every
-/// item in ONE forward pass; the per-item adjacencies are assembled lazily
-/// into a block-diagonal mask, which makes the relational nets' attention
-/// numerics bit-identical to evaluating each item alone (masked rows never
-/// see other blocks).
+/// vehicle), plus neighbour lists for the relational nets. Items are
+/// stacked into a single feature matrix so the network scores every
+/// candidate of every item in ONE forward pass; the lists hold global row
+/// indices that never leave their item, which makes the relational nets'
+/// attention numerics bit-identical to evaluating each item alone.
 ///
 /// All storage is reused across Clear() cycles, so a caller that keeps one
 /// DecisionBatch alive builds batches with no steady-state heap traffic.
@@ -29,26 +28,29 @@ class DecisionBatch {
   /// Drops all items; capacity is retained.
   void Clear();
 
-  /// Appends an item by copying `features` (rows x feature_dim) and
-  /// `adjacency` (rows x rows, or empty for non-relational nets). Returns
+  /// Appends an item by copying `features` (rows x feature_dim). Returns
   /// the item index.
-  int Add(const nn::Matrix& features, const nn::Matrix& adjacency);
-  int Add(const nn::Matrix& features) { return Add(features, nn::Matrix()); }
+  int Add(const nn::Matrix& features);
+
+  /// As Add(features), plus the item's neighbour lists: one per row, in
+  /// item-local row indices. Every earlier item must carry lists too.
+  int Add(const nn::Matrix& features, const nn::NeighborLists& neighbors);
 
   /// Opens an item of `rows` x `cols` UNINITIALIZED feature rows (write
   /// them via mutable_features(), global rows [offset(i), offset(i) +
-  /// rows(i))) and a zeroed rows x rows adjacency. Returns the item index.
+  /// rows(i))). Returns the item index. Relational callers then append the
+  /// item's lists, in global row indices, to mutable_neighbors().
   int AddItem(int rows, int cols);
 
   /// Stacked feature storage; only rows of already-added items may be
   /// written.
   nn::Matrix& mutable_features() { return features_; }
 
-  /// The item's rows(i) x rows(i) adjacency block, zeroed at AddItem.
-  nn::Matrix& mutable_adjacency(int item);
+  /// Neighbour lists of the stacked rows, in global row indices.
+  nn::NeighborLists& mutable_neighbors() { return neighbors_; }
 
-  int num_items() const { return num_items_; }
-  int total_rows() const { return offsets_[num_items_]; }
+  int num_items() const { return static_cast<int>(offsets_.size()) - 1; }
+  int total_rows() const { return offsets_.back(); }
   int offset(int item) const { return offsets_[item]; }
   int rows(int item) const {
     return offsets_[item + 1] - offsets_[item];
@@ -57,28 +59,14 @@ class DecisionBatch {
   /// Stacked features, (total_rows x feature_dim).
   const nn::Matrix& features() const { return features_; }
 
-  /// Block-diagonal adjacency over all items, (total_rows x total_rows),
-  /// assembled on first use after a mutation. Every item must carry an
-  /// adjacency of its own row count.
-  const nn::Matrix& adjacency() const;
-
-  /// Per-row attention windows: row r of item i gets [offset(i),
-  /// offset(i) + rows(i)). Hands the block structure to the attention
-  /// layers so a batched pass costs the sum of per-block costs rather
-  /// than (total_rows)^2.
-  const nn::MultiHeadSelfAttention::RowSpans& row_spans() const {
-    return row_spans_;
-  }
+  /// Neighbour lists over all items; the relational nets need one list per
+  /// row (neighbors().rows() == total_rows()).
+  const nn::NeighborLists& neighbors() const { return neighbors_; }
 
  private:
-  nn::Matrix features_;            ///< Stacked item features.
-  std::vector<int> offsets_ = {0};  ///< Row offsets; size num_items_ + 1.
-  std::vector<nn::Matrix> adjacencies_;  ///< Reused per-item blocks.
-  nn::MultiHeadSelfAttention::RowSpans row_spans_;
-  int num_items_ = 0;
-
-  mutable nn::Matrix block_adjacency_;
-  mutable bool adjacency_dirty_ = true;
+  nn::Matrix features_;             ///< Stacked item features.
+  std::vector<int> offsets_ = {0};  ///< Row offsets; size num_items + 1.
+  nn::NeighborLists neighbors_;     ///< Global-row lists, item by item.
 };
 
 /// Per-fleet Q-value network. EvaluateBatch scores every candidate row of
@@ -88,10 +76,7 @@ class DecisionBatch {
 /// Evaluate/Backward call.
 ///
 /// BackwardBatch must follow the corresponding EvaluateBatch (gradients
-/// accumulate across calls until the optimizer steps), and the
-/// DecisionBatch passed to that EvaluateBatch must stay alive through the
-/// backward pass: the graph network's attention levels hold references to
-/// the batch's adjacency mask and row spans rather than copying them.
+/// accumulate across calls until the optimizer steps).
 class FleetQNetwork {
  public:
   virtual ~FleetQNetwork() = default;
@@ -123,8 +108,8 @@ class MlpQNetwork : public FleetQNetwork {
 
 /// The DGN / DDGN / ST-DDGN network (paper Fig. 4): shared encoder MLP ->
 /// stacked neighborhood-attention blocks (with ReLU) -> concatenation of
-/// every level's representation -> Q head MLP. Batched items attend over
-/// the DecisionBatch's block-diagonal mask.
+/// every level's representation -> Q head MLP. Every row attends over its
+/// DecisionBatch neighbour list.
 class GraphQNetwork : public FleetQNetwork {
  public:
   GraphQNetwork(const AgentConfig& config, Rng* rng);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <utility>
 
 namespace dpdp {
 
@@ -81,25 +83,6 @@ FleetState BuildFleetState(const DispatchContext& context,
   return state;
 }
 
-SubFleetInputs BuildSubFleetInputs(const FleetState& state,
-                                   const std::vector<int>& idx,
-                                   bool use_graph, int num_neighbors) {
-  SubFleetInputs out;
-  out.features = nn::Matrix(static_cast<int>(idx.size()), kStateFeatures);
-  nn::Matrix pos(static_cast<int>(idx.size()), 2);
-  for (size_t r = 0; r < idx.size(); ++r) {
-    for (int c = 0; c < kStateFeatures; ++c) {
-      out.features(static_cast<int>(r), c) = state.features(idx[r], c);
-    }
-    pos(static_cast<int>(r), 0) = state.positions(idx[r], 0);
-    pos(static_cast<int>(r), 1) = state.positions(idx[r], 1);
-  }
-  if (use_graph) {
-    out.adjacency = BuildNeighborAdjacency(pos, num_neighbors);
-  }
-  return out;
-}
-
 int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
                          bool use_graph, int num_neighbors,
                          DecisionBatch* batch) {
@@ -112,13 +95,32 @@ int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
       features(begin + r, c) = state.features(idx[r], c);
     }
   }
-  if (use_graph) {
-    nn::Matrix pos(m, 2);
-    for (int r = 0; r < m; ++r) {
-      pos(r, 0) = state.positions(idx[r], 0);
-      pos(r, 1) = state.positions(idx[r], 1);
+  if (!use_graph) return item;
+  nn::NeighborLists& lists = batch->mutable_neighbors();
+  DPDP_CHECK(lists.rows() == begin);
+  std::vector<std::pair<double, int>> dist;
+  dist.reserve(m);
+  for (int i = 0; i < m; ++i) {
+    const auto row = static_cast<std::ptrdiff_t>(lists.index.size());
+    lists.index.push_back(begin + i);  // Self keeps every softmax non-empty.
+    if (num_neighbors > 0) {
+      const double xi = state.positions(idx[i], 0);
+      const double yi = state.positions(idx[i], 1);
+      dist.clear();
+      for (int j = 0; j < m; ++j) {
+        if (j == i) continue;
+        const double dx = xi - state.positions(idx[j], 0);
+        const double dy = yi - state.positions(idx[j], 1);
+        dist.emplace_back(dx * dx + dy * dy, j);
+      }
+      const int take = std::min(num_neighbors, m - 1);
+      std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
+      for (int k = 0; k < take; ++k) {
+        lists.index.push_back(begin + dist[k].second);
+      }
+      std::sort(lists.index.begin() + row, lists.index.end());
     }
-    FillNeighborAdjacency(pos, num_neighbors, &batch->mutable_adjacency(item));
+    lists.offsets.push_back(static_cast<int>(lists.index.size()));
   }
   return item;
 }
@@ -147,36 +149,6 @@ GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
     }
   }
   return best;
-}
-
-nn::Matrix BuildNeighborAdjacency(const nn::Matrix& positions,
-                                  int num_neighbors) {
-  nn::Matrix adj(positions.rows(), positions.rows());
-  FillNeighborAdjacency(positions, num_neighbors, &adj);
-  return adj;
-}
-
-void FillNeighborAdjacency(const nn::Matrix& positions, int num_neighbors,
-                           nn::Matrix* adj) {
-  DPDP_CHECK(positions.cols() == 2);
-  const int m = positions.rows();
-  DPDP_CHECK(adj->rows() == m && adj->cols() == m);
-  std::vector<std::pair<double, int>> dist;
-  dist.reserve(m);
-  for (int i = 0; i < m; ++i) {
-    (*adj)(i, i) = 1.0;
-    if (num_neighbors <= 0) continue;
-    dist.clear();
-    for (int j = 0; j < m; ++j) {
-      if (j == i) continue;
-      const double dx = positions(i, 0) - positions(j, 0);
-      const double dy = positions(i, 1) - positions(j, 1);
-      dist.emplace_back(dx * dx + dy * dy, j);
-    }
-    const int take = std::min<int>(num_neighbors, static_cast<int>(dist.size()));
-    std::partial_sort(dist.begin(), dist.begin() + take, dist.end());
-    for (int k = 0; k < take; ++k) (*adj)(i, dist[k].second) = 1.0;
-  }
 }
 
 }  // namespace dpdp

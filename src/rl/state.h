@@ -20,7 +20,7 @@ inline constexpr int kStateFeatures = 6;
 
 /// The joint MDP state S_t^i in tensor form: one feature row per vehicle
 /// (K x 5), the feasibility mask from constraint embedding, and vehicle
-/// planar positions (K x 2) for the Euclidean nearest-neighbor adjacency.
+/// planar positions (K x 2) for the Euclidean nearest-neighbor lists.
 struct FleetState {
   nn::Matrix features;          ///< (K x kStateFeatures), normalized.
   std::vector<uint8_t> feasible;  ///< Size K; 1 when the vehicle may serve.
@@ -43,25 +43,11 @@ struct FleetState {
 FleetState BuildFleetState(const DispatchContext& context,
                            const AgentConfig& config);
 
-/// Network inputs for a sub-fleet selection: the selected feature rows and
-/// (when a relational model is used) the nearest-neighbor adjacency over
-/// the selected vehicles' positions.
-struct SubFleetInputs {
-  nn::Matrix features;   ///< (|idx| x kStateFeatures).
-  nn::Matrix adjacency;  ///< (|idx| x |idx|), empty when use_graph = false.
-};
-
-/// Gathers rows `idx` of `state` and, if `use_graph`, builds their
-/// `num_neighbors`-nearest adjacency. Shared by the DQN-family and
-/// Actor-Critic agents.
-SubFleetInputs BuildSubFleetInputs(const FleetState& state,
-                                   const std::vector<int>& idx,
-                                   bool use_graph, int num_neighbors);
-
 /// Appends the sub-fleet selection `idx` of `state` as one item of `batch`
-/// (features written in place; when `use_graph`, the nearest-neighbor
-/// adjacency is filled into the item's block). Returns the item index.
-/// The batched twin of BuildSubFleetInputs for the EvaluateBatch hot path.
+/// (features written in place). When `use_graph`, also appends each
+/// selected row's neighbour list: the row itself plus its `num_neighbors`
+/// nearest selected vehicles by Euclidean distance (equal distances pick
+/// the lower index), in ascending global row order. Returns the item index.
 int AppendSubFleetInputs(const FleetState& state, const std::vector<int>& idx,
                          bool use_graph, int num_neighbors,
                          DecisionBatch* batch);
@@ -99,19 +85,6 @@ struct GreedyQChoice {
 GreedyQChoice ArgmaxFeasibleQ(const FleetState& state,
                               const std::vector<int>& idx,
                               const nn::Matrix& q, int q_offset = 0);
-
-/// Builds the {0,1} adjacency mask over the *feasible sub-fleet*: entry
-/// (i, j) = 1 when j is one of i's `num_neighbors` nearest feasible
-/// vehicles by Euclidean distance, or j == i (self-loops keep every
-/// softmax row non-empty). `positions` is (M x 2) for the M feasible
-/// vehicles.
-nn::Matrix BuildNeighborAdjacency(const nn::Matrix& positions,
-                                  int num_neighbors);
-
-/// In-place form of BuildNeighborAdjacency: writes the mask into `adj`,
-/// which must already be (M x M) and zeroed.
-void FillNeighborAdjacency(const nn::Matrix& positions, int num_neighbors,
-                           nn::Matrix* adj);
 
 }  // namespace dpdp
 

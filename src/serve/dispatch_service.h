@@ -84,7 +84,7 @@ struct ShardTag {
 /// stacked DecisionBatch evaluations on the current ModelSnapshot.
 ///
 /// Correctness invariant: because a stacked EvaluateBatch is bit-identical
-/// to per-item evaluation (block-diagonal masks + one-chain-per-element
+/// to per-item evaluation (per-item neighbour lists + one-chain-per-element
 /// GEMM; see DESIGN.md "Compute kernel model"), a served decision equals
 /// the decision a local agent with the same weights would make — however
 /// requests happen to interleave into batches. Batching changes wall-clock

@@ -25,12 +25,11 @@ double SecondsSince(const std::chrono::steady_clock::time_point start) {
 }
 
 /// Runs every client's episode loop concurrently (one pool thread each)
-/// and fills the aggregate report. `make_dispatcher` builds client i's
-/// dispatcher inside the worker; `collect_latencies` pulls its samples out
-/// afterwards.
+/// and fills the aggregate report. `make_client(i, outcome)` runs client
+/// i's episodes inside its worker and records them in `outcome`.
 template <typename MakeClient>
 LoadReport RunClients(const std::vector<const Instance*>& instances,
-                      const LoadOptions& options, MakeClient make_client) {
+                      MakeClient make_client) {
   const int n = static_cast<int>(instances.size());
   DPDP_CHECK(n > 0);
   LoadReport report;
@@ -102,7 +101,7 @@ LoadReport RunServedLoad(const std::vector<const Instance*>& instances,
   // (vehicle -1) goes straight into Apply, whose greedy fallback and
   // degradation accounting are exactly what a local agent's refusal gets.
   return RunClients(
-      instances, options, [&](int i, ClientOutcome* out) {
+      instances, [&](int i, ClientOutcome* out) {
         Environment env(instances[i], options.sim);
         for (int e = 0; e < options.episodes_per_client; ++e) {
           env.Reset();
@@ -125,7 +124,7 @@ LoadReport RunLocalAgentsLoad(const std::vector<const Instance*>& instances,
                               const AgentConfig& agent_config,
                               const LoadOptions& options) {
   return RunClients(
-      instances, options, [&](int i, ClientOutcome* out) {
+      instances, [&](int i, ClientOutcome* out) {
         DqnFleetAgent agent(agent_config,
                             "local-campus-" + std::to_string(i));
         Environment env(instances[i], options.sim);

@@ -237,7 +237,9 @@ TEST(ActorCritic, PolicySumsToOneOverFeasible) {
       const std::vector<double> pi = agent_->Policy(ctx);
       double sum = 0.0;
       for (size_t v = 0; v < pi.size(); ++v) {
-        if (!ctx.options[v].feasible) EXPECT_DOUBLE_EQ(pi[v], 0.0);
+        if (!ctx.options[v].feasible) {
+          EXPECT_DOUBLE_EQ(pi[v], 0.0);
+        }
         sum += pi[v];
       }
       EXPECT_NEAR(sum, 1.0, 1e-9);

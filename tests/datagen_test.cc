@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "datagen/campus.h"
 #include "datagen/dataset.h"
@@ -146,6 +147,21 @@ TEST_F(DemandModelTest, DeterministicAcrossInstances) {
   DemandModel other(*net_, 144, 99);
   EXPECT_DOUBLE_EQ(model_->Rate(3, 70, 5), other.Rate(3, 70, 5));
   EXPECT_DOUBLE_EQ(model_->TotalRate(12), other.TotalRate(12));
+}
+
+TEST_F(DemandModelTest, DayRatesEqualRateBitForBit) {
+  // The order generator reads a whole factory-day through DayRates; it
+  // must see exactly the rates Rate gives, late days included.
+  for (int day : {0, 1, 6, 45, 300}) {
+    for (int i = 0; i < model_->num_factories(); ++i) {
+      const std::vector<double> rates = model_->DayRates(i, day);
+      ASSERT_EQ(static_cast<int>(rates.size()), model_->num_intervals());
+      for (int j = 0; j < model_->num_intervals(); ++j) {
+        EXPECT_EQ(rates[j], model_->Rate(i, j, day))
+            << "factory " << i << " interval " << j << " day " << day;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- OrderGen --

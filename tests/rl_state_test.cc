@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "rl/config.h"
 #include "rl/replay.h"
 #include "rl/state.h"
@@ -76,57 +79,102 @@ TEST(FleetState, StScoreZeroedWhenDisabled) {
   EXPECT_DOUBLE_EQ(s.features(0, 2), 0.0);
 }
 
-// ------------------------------------------------------------- Adjacency --
+// -------------------------------------------------------- Neighbor lists --
 
-TEST(Adjacency, SelfLoopsAlwaysPresent) {
-  nn::Matrix pos(3, 2);
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(adj(i, i), 1.0);
-    for (int j = 0; j < 3; ++j) {
-      if (i != j) EXPECT_DOUBLE_EQ(adj(i, j), 0.0);
-    }
+/// Row i's neighbour list (global rows) when the whole fleet at `pos` is
+/// appended to a batch that already holds `offset` rows of another item.
+std::vector<std::vector<int>> NeighborRows(const nn::Matrix& pos,
+                                           int num_neighbors,
+                                           int offset = 0) {
+  FleetState state;
+  state.features = nn::Matrix(pos.rows(), kStateFeatures);
+  state.positions = pos;
+  state.feasible.assign(pos.rows(), 1);
+  DecisionBatch batch;
+  if (offset > 0) {
+    FleetState other;
+    other.features = nn::Matrix(offset, kStateFeatures);
+    other.positions = nn::Matrix(offset, 2);
+    other.feasible.assign(offset, 1);
+    AppendSubFleetInputs(other, other.FeasibleIndices(), true, 0, &batch);
   }
+  const int item = AppendSubFleetInputs(state, state.FeasibleIndices(),
+                                        true, num_neighbors, &batch);
+  const nn::NeighborLists& lists = batch.neighbors();
+  EXPECT_EQ(lists.rows(), batch.total_rows());
+  std::vector<std::vector<int>> rows;
+  for (int r = batch.offset(item); r < batch.total_rows(); ++r) {
+    rows.emplace_back(lists.index.begin() + lists.offsets[r],
+                      lists.index.begin() + lists.offsets[r + 1]);
+  }
+  return rows;
 }
 
-TEST(Adjacency, PicksNearestNeighborsByEuclideanDistance) {
+TEST(NeighborLists, SelfLoopsAlwaysPresent) {
+  const nn::Matrix pos(3, 2);
+  EXPECT_EQ(NeighborRows(pos, 0),
+            (std::vector<std::vector<int>>{{0}, {1}, {2}}));
+}
+
+TEST(NeighborLists, PicksNearestNeighborsByEuclideanDistance) {
   // Vehicles on a line at x = 0, 1, 5, 6.
   nn::Matrix pos(4, 2);
   pos(1, 0) = 1.0;
   pos(2, 0) = 5.0;
   pos(3, 0) = 6.0;
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 1);
-  EXPECT_DOUBLE_EQ(adj(0, 1), 1.0);  // 0's nearest is 1.
-  EXPECT_DOUBLE_EQ(adj(0, 2), 0.0);
-  EXPECT_DOUBLE_EQ(adj(2, 3), 1.0);  // 2's nearest is 3.
-  EXPECT_DOUBLE_EQ(adj(3, 2), 1.0);
+  const auto rows = NeighborRows(pos, 1);
+  EXPECT_EQ(rows[0], (std::vector<int>{0, 1}));  // 0's nearest is 1.
+  EXPECT_EQ(rows[2], (std::vector<int>{2, 3}));  // 2's nearest is 3.
+  EXPECT_EQ(rows[3], (std::vector<int>{2, 3}));
 }
 
-TEST(Adjacency, NeighborCountCapped) {
+TEST(NeighborLists, EqualDistancesPickTheLowerIndex) {
+  // Vehicle 0 sits at distance 1 from vehicles 1, 2 and 3; vehicle 3
+  // sits at squared distance 2 from both 1 and 2.
+  nn::Matrix pos(4, 2);
+  pos(1, 0) = 1.0;
+  pos(2, 0) = -1.0;
+  pos(3, 1) = 1.0;
+  const auto rows = NeighborRows(pos, 2);
+  EXPECT_EQ(rows[0], (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(rows[3], (std::vector<int>{0, 1, 3}));
+}
+
+TEST(NeighborLists, NeighborCountCappedAndAscending) {
   Rng rng(5);
   nn::Matrix pos(10, 2);
   for (int i = 0; i < 10; ++i) {
     pos(i, 0) = rng.Uniform();
     pos(i, 1) = rng.Uniform();
   }
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 3);
+  const auto rows = NeighborRows(pos, 3);
   for (int i = 0; i < 10; ++i) {
-    double row = 0.0;
-    for (int j = 0; j < 10; ++j) row += adj(i, j);
-    EXPECT_DOUBLE_EQ(row, 4.0);  // Self + 3 neighbors.
+    EXPECT_EQ(rows[i].size(), 4u);  // Self + 3 neighbors.
+    EXPECT_TRUE(std::is_sorted(rows[i].begin(), rows[i].end()));
+    EXPECT_TRUE(std::binary_search(rows[i].begin(), rows[i].end(), i));
   }
 }
 
-TEST(Adjacency, MoreNeighborsThanVehiclesIsFullyConnected) {
+TEST(NeighborLists, MoreNeighborsThanVehiclesIsFullyConnected) {
   nn::Matrix pos(3, 2);
   pos(1, 0) = 1.0;
   pos(2, 0) = 2.0;
-  const nn::Matrix adj = BuildNeighborAdjacency(pos, 10);
-  EXPECT_DOUBLE_EQ(adj.SumAll(), 9.0);
+  for (const auto& row : NeighborRows(pos, 10)) {
+    EXPECT_EQ(row, (std::vector<int>{0, 1, 2}));
+  }
 }
 
-TEST(SubFleetInputs, GathersRowsAndBuildsAdjacency) {
-  Rng rng(3);
+TEST(NeighborLists, IndicesAreGlobalRowsOfTheBatch) {
+  // Line at x = 0, 1, 5 appended after a two-row item: the lists keep
+  // their item-local shape, shifted by the item's offset.
+  nn::Matrix pos(3, 2);
+  pos(1, 0) = 1.0;
+  pos(2, 0) = 5.0;
+  EXPECT_EQ(NeighborRows(pos, 1, /*offset=*/2),
+            (std::vector<std::vector<int>>{{2, 3}, {2, 3}, {3, 4}}));
+}
+
+TEST(AppendSubFleetInputs, GathersRowsAndBuildsNeighborLists) {
   FleetState state;
   state.features = nn::Matrix(4, kStateFeatures);
   state.positions = nn::Matrix(4, 2);
@@ -140,18 +188,20 @@ TEST(SubFleetInputs, GathersRowsAndBuildsAdjacency) {
   const std::vector<int> idx = state.FeasibleIndices();
   ASSERT_EQ(idx, (std::vector<int>{0, 2, 3}));
 
-  const SubFleetInputs no_graph =
-      BuildSubFleetInputs(state, idx, /*use_graph=*/false, 2);
-  EXPECT_EQ(no_graph.features.rows(), 3);
-  EXPECT_TRUE(no_graph.adjacency.empty());
-  EXPECT_DOUBLE_EQ(no_graph.features(1, 0), 20.0);  // Row of vehicle 2.
+  DecisionBatch no_graph;
+  AppendSubFleetInputs(state, idx, /*use_graph=*/false, 2, &no_graph);
+  EXPECT_EQ(no_graph.total_rows(), 3);
+  EXPECT_EQ(no_graph.neighbors().rows(), 0);
+  EXPECT_DOUBLE_EQ(no_graph.features()(1, 0), 20.0);  // Row of vehicle 2.
 
-  const SubFleetInputs graph =
-      BuildSubFleetInputs(state, idx, /*use_graph=*/true, 1);
-  EXPECT_EQ(graph.adjacency.rows(), 3);
-  // Vehicle 2 (sub-row 1) is nearest to vehicle 3 (sub-row 2).
-  EXPECT_DOUBLE_EQ(graph.adjacency(1, 2), 1.0);
-  EXPECT_DOUBLE_EQ(graph.adjacency(1, 1), 1.0);  // Self loop.
+  DecisionBatch graph;
+  AppendSubFleetInputs(state, idx, /*use_graph=*/true, 1, &graph);
+  const nn::NeighborLists& lists = graph.neighbors();
+  EXPECT_EQ(lists.rows(), 3);
+  // Vehicle 2 (sub-row 1) is nearest to vehicle 3 (sub-row 2), and every
+  // row keeps its self loop.
+  EXPECT_EQ(lists.offsets, (std::vector<int>{0, 2, 4, 6}));
+  EXPECT_EQ(lists.index, (std::vector<int>{0, 1, 1, 2, 1, 2}));
 }
 
 // ---------------------------------------------------------------- Replay --
