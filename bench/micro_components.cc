@@ -322,10 +322,10 @@ void BM_SimulatorEpisodeBaseline1(benchmark::State& state) {
   const dpdp::Instance inst = MakeBenchInstance(orders, orders / 3 + 2);
   dpdp::SimulatorConfig config;
   config.record_visits = false;
-  dpdp::Simulator sim(&inst, config);
+  dpdp::Environment sim(&inst, config);
   dpdp::MinIncrementalLengthDispatcher baseline;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.RunEpisode(&baseline));
+    benchmark::DoNotOptimize(dpdp::RunEpisode(&sim, &baseline));
   }
   state.SetItemsProcessed(state.iterations() * orders);
 }
@@ -370,14 +370,14 @@ void BM_ParallelBatchUpdate(benchmark::State& state) {
   dpdp::DqnFleetAgent agent(config, "bench");
   dpdp::SimulatorConfig sim_config;
   sim_config.record_visits = false;
-  dpdp::Simulator sim(&inst, sim_config);
+  dpdp::Environment sim(&inst, sim_config);
   agent.set_training(true);
   // Fill the replay buffer; OnEpisodeEnd also runs the first updates.
   dpdp::TrainOptions options;
   options.episodes = 2;
   dpdp::RunEpisodes(&sim, &agent, options);
   for (auto _ : state) {
-    const dpdp::EpisodeResult r = sim.RunEpisode(&agent);
+    const dpdp::EpisodeResult r = dpdp::RunEpisode(&sim, &agent);
     agent.OnEpisodeEnd(r);
   }
   state.SetLabel(threads > 0

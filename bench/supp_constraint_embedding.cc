@@ -64,11 +64,11 @@ int main() {
     dpdp::SimulatorConfig sim_config;
     sim_config.predicted_std = predicted;
     sim_config.record_visits = false;
-    dpdp::Simulator sim(&inst, sim_config);
+    dpdp::Environment sim(&inst, sim_config);
     double wall = 0.0;
     dpdp::EpisodeResult last;
     for (int e = 0; e < episodes; ++e) {
-      last = sim.RunEpisode(&meter);
+      last = dpdp::RunEpisode(&sim, &meter);
       wall += last.decision_wall_seconds;
     }
     table.AddRow(

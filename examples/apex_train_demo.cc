@@ -180,11 +180,11 @@ int main() {
     dpdp::DqnFleetAgent agent(agent_config, "baseline");
     agent.set_training(true);
     CommitWaitDispatcher channel(&agent, commit_us);
-    dpdp::Simulator sim(&instance);
+    dpdp::Environment sim(&instance);
     long transitions = 0;
     const dpdp::WallTimer timer;
     for (int e = 0; e < episodes; ++e) {
-      transitions += sim.RunEpisode(&channel).num_decisions;
+      transitions += dpdp::RunEpisode(&sim, &channel).num_decisions;
     }
     rows.push_back(
         MakeRow("BM_OneSimPerSeed", transitions, timer.ElapsedSeconds()));

@@ -46,7 +46,7 @@ int main() {
 
   dpdp::SimulatorConfig sim_config;
   sim_config.predicted_std = predicted.value();
-  dpdp::Simulator simulator(&instance, sim_config);
+  dpdp::Environment env(&instance, sim_config);
   std::unique_ptr<dpdp::Agent> agent =
       dpdp::MakeAgentByName("DQN", /*seed=*/1);
   agent->set_training(true);
@@ -57,7 +57,7 @@ int main() {
   dpdp::TrainOptions options;
   options.episodes = dpdp::EnvInt("DPDP_EPISODES", 2);
   const dpdp::TrainingCurve curve =
-      dpdp::RunEpisodes(&simulator, agent.get(), options);
+      dpdp::RunEpisodes(&env, agent.get(), options);
 
   long total_decisions = 0;
   long total_degraded = 0;

@@ -28,9 +28,7 @@ int ArgMinFeasible(const DispatchContext& context, KeyFn key) {
 
 int MinIncrementalLengthDispatcher::ChooseVehicle(
     const DispatchContext& context) {
-  return ArgMinFeasible(context, [](const VehicleOption& o) {
-    return o.incremental_length;
-  });
+  return GreedyInsertionFallback(context);
 }
 
 int MinTotalLengthDispatcher::ChooseVehicle(const DispatchContext& context) {

@@ -283,6 +283,13 @@ Result<Instance> LoadInstanceCsv(std::istream* is) {
     if (from < 0 || to < 0 || from >= d.rows() || to >= d.cols()) {
       return Status::InvalidArgument("distance endpoint out of range");
     }
+    if (from == to) {
+      // Never written: a diagonal entry can only stand in for a missing
+      // off-diagonal pair while keeping the entry count right.
+      return Status::InvalidArgument("diagonal distance entry " +
+                                     std::to_string(from) + "," +
+                                     std::to_string(to));
+    }
     uint8_t& mark = seen[static_cast<size_t>(from) * nodes.size() + to];
     if (mark != 0) {
       return Status::InvalidArgument(

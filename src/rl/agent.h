@@ -24,7 +24,7 @@ struct TrainingStats {
 /// `Act` / `Observe` / `Learn` are the agent-role vocabulary; the
 /// Dispatcher vocabulary (`ChooseVehicle` / `OnOrderAssigned` /
 /// `OnEpisodeEnd`) is implemented once here as final forwarders, so every
-/// episode driver — the Simulator facade, the Environment step loops, the
+/// episode driver — RunEpisode, the Environment step loops, the
 /// serving adapters — glues to an agent through exactly one adapter
 /// instead of per-agent duplicated episode-loop plumbing. Local training,
 /// served inference, actor rollout and headless learner roles are all

@@ -108,16 +108,8 @@ int DqnFleetAgent::Act(const DispatchContext& context) {
   }
 
   if (training_) {
-    StoredFleetState stored = StoredFleetState::FromFleetState(state);
-    if (pending_.active) {
-      episode_.push_back({std::move(pending_.state), pending_.action,
-                          pending_.instant_reward, stored,
-                          /*terminal=*/false});
-    }
-    pending_.state = std::move(stored);
-    pending_.action = action;
-    pending_.instant_reward = InstantReward(context, action, config_);
-    pending_.active = true;
+    chain_.Push(StoredFleetState::FromFleetState(state), action,
+                InstantReward(context, action, config_));
     decision_recorded_ = true;
   }
   return action;
@@ -126,12 +118,11 @@ int DqnFleetAgent::Act(const DispatchContext& context) {
 void DqnFleetAgent::Observe(const DispatchContext& context, int vehicle) {
   if (!training_ || !decision_recorded_) return;
   decision_recorded_ = false;
-  if (vehicle == pending_.action) return;
+  if (vehicle == chain_.pending_action()) return;
   // Graceful degradation (or any environment override) executed a
   // different vehicle than we chose: learn from the action that actually
   // happened.
-  pending_.action = vehicle;
-  pending_.instant_reward = InstantReward(context, vehicle, config_);
+  chain_.Retarget(vehicle, InstantReward(context, vehicle, config_));
 }
 
 void DqnFleetAgent::Learn(const EpisodeResult& result) {
@@ -145,20 +136,12 @@ void DqnFleetAgent::Learn(const EpisodeResult& result) {
       best_weights_.push_back(p->value);
     }
   }
-  if (pending_.active) {
-    episode_.push_back({std::move(pending_.state), pending_.action,
-                        pending_.instant_reward, StoredFleetState{},
-                        /*terminal=*/true});
-    pending_.active = false;
-  }
-  if (episode_.empty()) return;
+  std::vector<Transition> transitions = chain_.Finish();
+  if (transitions.empty()) return;
 
-  const size_t episode_transitions = episode_.size();
-  for (Transition& t : FoldEpisodeRewards(std::move(episode_))) {
-    replay_.Add(std::move(t));
-  }
+  const size_t episode_transitions = transitions.size();
+  for (Transition& t : transitions) replay_.Add(std::move(t));
   Metrics().transitions->Add(episode_transitions);
-  episode_.clear();
 
   if (replay_.size() >= config_.batch_size) {
     int updates = config_.updates_per_episode;
@@ -514,7 +497,7 @@ bool ReadPod(std::istream* is, T* value) {
 
 Status DqnFleetAgent::SaveState(std::ostream* os) const {
   DPDP_CHECK(os != nullptr);
-  DPDP_CHECK(!pending_.active && episode_.empty());  // Episode boundary.
+  DPDP_CHECK(chain_.empty());  // Episode boundary.
   WritePod(os, kAgentStateVersion);
   nn::SaveParameters(online_->Params(), os);
   nn::SaveParameters(target_->Params(), os);
@@ -584,9 +567,8 @@ Status DqnFleetAgent::LoadState(std::istream* is) {
   last_loss_ = last_loss;
   best_episode_cost_ = best_cost;
   best_weights_ = std::move(best_weights);
-  pending_ = Pending{};
+  chain_.Clear();
   decision_recorded_ = false;
-  episode_.clear();
   // Telemetry accumulators restart from zero (not checkpointed).
   q_sum_ = 0.0;
   q_max_ = 0.0;

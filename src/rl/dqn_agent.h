@@ -91,13 +91,6 @@ class DqnFleetAgent : public Agent {
   void SyncTarget();
 
  private:
-  struct Pending {
-    StoredFleetState state;
-    int action = -1;
-    double instant_reward = 0.0;
-    bool active = false;
-  };
-
   /// Worker-local online/target network clones used by the parallel
   /// minibatch path (config.parallel_batch): each worker gets private
   /// activation caches and gradient buffers while sharing the master
@@ -154,12 +147,11 @@ class DqnFleetAgent : public Agent {
   double epsilon_;
   int episodes_trained_ = 0;
   double last_loss_ = 0.0;
-  Pending pending_;
-  /// True between a ChooseVehicle that recorded pending_ and the matching
-  /// OnOrderAssigned; gates the executed-action sync so a degraded
-  /// decision (nothing recorded) cannot clobber stale pending state.
+  TransitionChain chain_;
+  /// True between an Act that pushed onto chain_ and the matching
+  /// Observe; gates the executed-action sync so a degraded decision
+  /// (nothing recorded) cannot clobber stale pending state.
   bool decision_recorded_ = false;
-  std::vector<EpisodeStep> episode_;
   double best_episode_cost_ = 0.0;
   std::vector<nn::Matrix> best_weights_;  ///< Empty until first snapshot.
 

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <utility>
 
 namespace dpdp {
 namespace {
@@ -109,6 +110,39 @@ std::vector<Transition> FoldEpisodeRewards(std::vector<EpisodeStep> steps) {
     out.push_back(std::move(t));
   }
   return out;
+}
+
+void TransitionChain::Push(StoredFleetState state, int action,
+                           double instant_reward) {
+  if (active_) {
+    pending_.next_state = state;
+    pending_.terminal = false;
+    steps_.push_back(std::move(pending_));
+  }
+  pending_ = EpisodeStep{std::move(state), action, instant_reward,
+                         StoredFleetState{}, /*terminal=*/true};
+  active_ = true;
+}
+
+void TransitionChain::Retarget(int action, double instant_reward) {
+  DPDP_CHECK(active_);
+  pending_.action = action;
+  pending_.instant_reward = instant_reward;
+}
+
+std::vector<Transition> TransitionChain::Finish() {
+  if (active_) steps_.push_back(std::move(pending_));
+  active_ = false;
+  std::vector<Transition> transitions =
+      FoldEpisodeRewards(std::move(steps_));
+  steps_.clear();
+  return transitions;
+}
+
+void TransitionChain::Clear() {
+  pending_ = EpisodeStep{};
+  active_ = false;
+  steps_.clear();
 }
 
 ReplayBuffer::ReplayBuffer(int capacity) : capacity_(capacity) {

@@ -52,6 +52,34 @@ struct EpisodeStep {
 /// both produce bit-identical transitions from the same decisions.
 std::vector<Transition> FoldEpisodeRewards(std::vector<EpisodeStep> steps);
 
+/// The pending-transition chain of one in-flight episode: a decision's
+/// next_state is the following decision's state, so each step is emitted
+/// one decision late and the last one goes out terminal at episode end.
+/// Shared by DqnFleetAgent and the src/train/ actor rollout loop, so both
+/// record the same steps from the same decisions.
+class TransitionChain {
+ public:
+  /// Records a decision, closing the pending one with `state` as its
+  /// next_state.
+  void Push(StoredFleetState state, int action, double instant_reward);
+  /// Re-targets the pending decision at the action that actually executed.
+  void Retarget(int action, double instant_reward);
+  /// Action of the pending decision (-1 when none is pending).
+  int pending_action() const { return active_ ? pending_.action : -1; }
+  /// Closes the pending decision as terminal and returns the episode's
+  /// folded transitions (FoldEpisodeRewards), leaving the chain empty.
+  std::vector<Transition> Finish();
+  /// True at an episode boundary: nothing pending, nothing recorded.
+  bool empty() const { return !active_ && steps_.empty(); }
+  /// Drops the in-flight episode.
+  void Clear();
+
+ private:
+  EpisodeStep pending_;
+  bool active_ = false;
+  std::vector<EpisodeStep> steps_;
+};
+
 /// Fixed-capacity ring-buffer experience replay with uniform sampling.
 class ReplayBuffer {
  public:

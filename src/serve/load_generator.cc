@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "rl/dqn_agent.h"
+#include "serve/service_dispatcher.h"
 #include "sim/environment.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -96,27 +97,20 @@ LoadReport RunServedLoad(const std::vector<const Instance*>& instances,
                          DecisionService* service,
                          const LoadOptions& options) {
   DPDP_CHECK(service != nullptr);
-  // Each client drives the Environment step API directly: Submit the
-  // pending decision, block on the reply, Apply it. A degraded reply
+  // Each client is a ServiceDispatcher under RunEpisode: a degraded reply
   // (vehicle -1) goes straight into Apply, whose greedy fallback and
   // degradation accounting are exactly what a local agent's refusal gets.
   return RunClients(
       instances, [&](int i, ClientOutcome* out) {
         Environment env(instances[i], options.sim);
+        ServiceDispatcher client(service);
         for (int e = 0; e < options.episodes_per_client; ++e) {
-          env.Reset();
-          while (env.AdvanceToDecision()) {
-            const auto start = std::chrono::steady_clock::now();
-            ServeReply reply = service->Submit(env.ObserveDecision()).get();
-            const double elapsed = SecondsSince(start);
-            out->latencies_s.push_back(elapsed);
-            if (reply.shed) ++out->sheds;
-            if (reply.degraded) ++out->degraded;
-            if (reply.deadline_exceeded) ++out->deadline_exceeded;
-            env.Apply(reply.vehicle, elapsed);
-          }
-          out->episodes.push_back(env.result());
+          out->episodes.push_back(RunEpisode(&env, &client));
         }
+        out->latencies_s = client.latencies_s();
+        out->sheds = client.sheds();
+        out->degraded = client.degraded();
+        out->deadline_exceeded = client.deadline_exceeded();
       });
 }
 

@@ -12,16 +12,17 @@
 namespace dpdp::serve {
 
 /// Adapts a DecisionService (one DispatchService, or a ShardRouter over N
-/// of them) to the simulator's Dispatcher interface: one ChooseVehicle =
-/// one Submit + blocking wait on the reply. This is the indirection that
-/// lets any Simulator run "backed by the service" instead of owning an
-/// agent — the simulator neither knows nor cares that its decision crossed
-/// a queue (or a sharded fabric) and came back from a batched evaluation.
+/// of them) to the Dispatcher interface: one ChooseVehicle = one Submit +
+/// blocking wait on the reply. This is the indirection that lets
+/// RunEpisode drive any Environment "backed by the service" instead of an
+/// owned agent — the environment neither knows nor cares that its decision
+/// crossed a queue (or a sharded fabric) and came back from a batched
+/// evaluation. RunServedLoad's clients are exactly this adapter.
 ///
-/// A degraded reply (vehicle -1) is returned as -1, so the simulator
+/// A degraded reply (vehicle -1) is returned as -1, so the environment
 /// performs its own greedy fallback and counts the degradation exactly as
 /// it would for a local agent. Not thread-safe; one instance per client
-/// simulator (the service behind it is the shared, thread-safe part).
+/// environment (the service behind it is the shared, thread-safe part).
 class ServiceDispatcher : public Dispatcher {
  public:
   explicit ServiceDispatcher(DecisionService* service,

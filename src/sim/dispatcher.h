@@ -2,7 +2,6 @@
 #define DPDP_SIM_DISPATCHER_H_
 
 #include <string>
-#include <vector>
 #include <utility>
 #include <vector>
 
@@ -111,10 +110,11 @@ struct EpisodeResult {
   bool all_served() const { return num_unserved == 0; }
 };
 
-/// The greedy-insertion emergency rule (Baseline 1's min incremental
-/// length, first best wins ties): the answer of last resort shared by the
-/// simulator's graceful-degradation path and the serving layer's
-/// load-shedding path. Requires at least one feasible option.
+/// Baseline 1's rule (min incremental length, first best wins ties),
+/// written once: MinIncrementalLengthDispatcher, the environment's
+/// graceful-degradation and breakdown re-plan paths, and the serving
+/// layer's load-shedding path all choose with it. Requires at least one
+/// feasible option.
 int GreedyInsertionFallback(const DispatchContext& context);
 
 /// Vehicle-selection policy: baselines and learned agents implement this.

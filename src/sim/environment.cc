@@ -10,6 +10,7 @@
 #include "routing/local_search.h"
 #include "stpred/st_score.h"
 #include "stpred/std_matrix.h"
+#include "util/timer.h"
 
 namespace dpdp {
 
@@ -96,7 +97,8 @@ void Environment::Reset() {
 }
 
 DispatchContext Environment::BuildContext(const Order& order,
-                                          double decision_time) {
+                                          double decision_time,
+                                          int excluded) {
   DPDP_TRACE_SPAN("sim.build_context");
   DispatchContext ctx;
   ctx.instance = instance_;
@@ -108,11 +110,12 @@ DispatchContext Environment::BuildContext(const Order& order,
   ctx.options.resize(vehicles_.size());
 
   for (size_t v = 0; v < vehicles_.size(); ++v) {
+    VehicleOption& opt = ctx.options[v];
+    opt.vehicle = static_cast<int>(v);
+    if (opt.vehicle == excluded) continue;  // Stays infeasible.
     VehicleState& vehicle = vehicles_[v];
     vehicle.AdvanceTo(ctx.now);
 
-    VehicleOption& opt = ctx.options[v];
-    opt.vehicle = static_cast<int>(v);
     opt.used = vehicle.used();
     opt.num_assigned_orders = vehicle.num_assigned_orders();
     opt.position = vehicle.Position();
@@ -334,32 +337,17 @@ void Environment::ApplyBreakdown(const DisruptionEvent& event,
   vehicle.NoteOrdersRemoved(static_cast<int>(extract_ids.size()));
 
   // Re-plan the extracted orders in ascending id (deterministic) onto the
-  // healthiest fleet member by Baseline 1's rule.
+  // rest of the fleet by Baseline 1's rule.
   std::vector<int> ids(extract_ids.begin(), extract_ids.end());
   std::sort(ids.begin(), ids.end());
   for (int order_id : ids) {
-    const Order& order = instance_->order(order_id);
-    int best = -1;
-    double best_incremental = std::numeric_limits<double>::infinity();
-    Insertion best_insertion;
-    for (size_t v = 0; v < vehicles_.size(); ++v) {
-      if (static_cast<int>(v) == event.vehicle) continue;
-      VehicleState& candidate = vehicles_[v];
-      candidate.AdvanceTo(event.time);
-      if (candidate.hold_until() > event.time + 1e-9) continue;
-      Result<Insertion> insertion = planner_.BestInsertion(
-          candidate.MakeAnchor(), candidate.FreeSuffix(), candidate.depot(),
-          order, &candidate.config());
-      if (!insertion.ok()) continue;
-      if (insertion.value().incremental_length < best_incremental) {
-        best_incremental = insertion.value().incremental_length;
-        best = static_cast<int>(v);
-        best_insertion = std::move(insertion).value();
-      }
-    }
-    if (best >= 0) {
-      vehicles_[best].ApplyNewSuffix(std::move(best_insertion.suffix),
-                                     /*serves_order=*/true);
+    DispatchContext replan =
+        BuildContext(instance_->order(order_id), event.time, event.vehicle);
+    if (replan.num_feasible > 0) {
+      const int best = GreedyInsertionFallback(replan);
+      vehicles_[best].ApplyNewSuffix(
+          std::move(replan.options[best].insertion.suffix),
+          /*serves_order=*/true);
       assigned_to_[order_id] = best;
       if (config_.record_plan) result->order_assignment[order_id] = best;
       ++applied.orders_replanned;
@@ -440,6 +428,25 @@ nn::Matrix Environment::LastCapacityDistribution() const {
     }
   }
   return cap;
+}
+
+EpisodeResult RunEpisode(Environment* env, Dispatcher* dispatcher) {
+  DPDP_TRACE_SPAN("sim.episode");
+  DPDP_CHECK(env != nullptr && dispatcher != nullptr);
+  env->Reset();
+  while (env->AdvanceToDecision()) {
+    WallTimer timer;
+    int chosen;
+    {
+      DPDP_TRACE_SPAN("sim.choose_vehicle");
+      chosen = dispatcher->ChooseVehicle(env->ObserveDecision());
+    }
+    const int executed = env->Apply(chosen, timer.ElapsedSeconds());
+    dispatcher->OnOrderAssigned(env->ObserveDecision(), executed);
+  }
+  const EpisodeResult result = env->result();
+  dispatcher->OnEpisodeEnd(result);
+  return result;
 }
 
 }  // namespace dpdp

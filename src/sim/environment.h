@@ -57,8 +57,8 @@ struct SimulatorConfig {
 /// The stepwise form of the dispatching simulation (Algorithm 1): one
 /// day's order stream replayed in creation order, with control handed back
 /// to the caller at every decision point instead of a Dispatcher callback.
-/// The step API is what every episode driver composes over — the
-/// Simulator facade's callback loop, the serving load generator and the
+/// The step API is what every episode driver composes over — RunEpisode's
+/// Dispatcher loop (below), the local-agent load generator and the
 /// src/train/ actor rollout loop all run the same environment:
 ///
 ///   env.Reset();
@@ -125,7 +125,12 @@ class Environment {
   void set_episodes_run(int episodes) { episodes_run_ = episodes; }
 
  private:
-  DispatchContext BuildContext(const Order& order, double decision_time);
+  /// Plans `order` against every vehicle at `decision_time`. Vehicle
+  /// `excluded` (if >= 0) is marked infeasible without being touched: the
+  /// breakdown re-plan uses it to keep an order off the vehicle it was
+  /// just pulled from, even when a zero-length repair leaves it unheld.
+  DispatchContext BuildContext(const Order& order, double decision_time,
+                               int excluded = -1);
 
   /// Applies every pending disruption event with time <= now.
   void ProcessDisruptionsUntil(double now, EpisodeResult* result);
@@ -156,6 +161,13 @@ class Environment {
   bool decision_pending_ = false;
   bool in_episode_ = false;
 };
+
+/// Runs one full episode of `env` under `dispatcher` (Algorithm 1 with the
+/// Dispatcher callback vocabulary): Reset, then per decision ChooseVehicle,
+/// Apply and OnOrderAssigned with the executed vehicle, then OnEpisodeEnd.
+/// Orders for which no vehicle is feasible are counted unserved and
+/// skipped (the evaluation protocol assumes the fleet suffices).
+EpisodeResult RunEpisode(Environment* env, Dispatcher* dispatcher);
 
 }  // namespace dpdp
 

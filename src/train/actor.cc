@@ -53,16 +53,8 @@ EpisodeExperience Actor::RunEpisode(int episode_index, double epsilon) {
   env_.set_episodes_run(episode_index);
   env_.Reset();
 
-  // Pending-transition chaining, mirroring DqnFleetAgent: a decision's
-  // next_state is the following decision's state, so a step is emitted
-  // one decision late and the last one goes out terminal at episode end.
-  struct Pending {
-    StoredFleetState state;
-    int action = -1;
-    double instant_reward = 0.0;
-    bool active = false;
-  } pending;
-  std::vector<EpisodeStep> steps;
+  // The same pending-transition chain DqnFleetAgent records with.
+  TransitionChain chain;
 
   while (env_.AdvanceToDecision()) {
     const DispatchContext& ctx = env_.ObserveDecision();
@@ -95,25 +87,12 @@ EpisodeExperience Actor::RunEpisode(int episode_index, double epsilon) {
       // Record against the EXECUTED vehicle (Observe's re-targeting rule);
       // a refused decision (-1, degraded reply) records nothing, exactly
       // like the local agent.
-      StoredFleetState stored = StoredFleetState::FromFleetState(state);
-      if (pending.active) {
-        steps.push_back({std::move(pending.state), pending.action,
-                         pending.instant_reward, stored,
-                         /*terminal=*/false});
-      }
-      pending.state = std::move(stored);
-      pending.action = executed;
-      pending.instant_reward = InstantReward(ctx, executed, agent_config_);
-      pending.active = true;
+      chain.Push(StoredFleetState::FromFleetState(state), executed,
+                 InstantReward(ctx, executed, agent_config_));
     }
   }
-  if (pending.active) {
-    steps.push_back({std::move(pending.state), pending.action,
-                     pending.instant_reward, StoredFleetState{},
-                     /*terminal=*/true});
-  }
 
-  experience.transitions = FoldEpisodeRewards(std::move(steps));
+  experience.transitions = chain.Finish();
   experience.result = env_.result();
   if (experience.max_model_seq > max_model_seq_) {
     max_model_seq_ = experience.max_model_seq;

@@ -10,7 +10,7 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "rl/trainer.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -42,19 +42,19 @@ AgentConfig FastConfig(bool graph, uint64_t seed) {
 
 TEST(DqnAgent, UntrainedAgentIsValidDispatcher) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   DqnFleetAgent agent(FastConfig(false, 1), "DDQN");
-  const EpisodeResult r = sim.RunEpisode(&agent);
+  const EpisodeResult r = RunEpisode(&sim, &agent);
   EXPECT_TRUE(r.all_served());
   EXPECT_GE(r.nuv, 1.0);
 }
 
 TEST(DqnAgent, TrainingImprovesOverUntrained) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
 
   DqnFleetAgent untrained(FastConfig(false, 5), "DDQN");
-  const double tc_untrained = sim.RunEpisode(&untrained).total_cost;
+  const double tc_untrained = RunEpisode(&sim, &untrained).total_cost;
 
   DqnFleetAgent agent(FastConfig(false, 5), "DDQN");
   agent.set_training(true);
@@ -62,19 +62,19 @@ TEST(DqnAgent, TrainingImprovesOverUntrained) {
   options.episodes = 30;
   RunEpisodes(&sim, &agent, options);
   agent.set_training(false);
-  const double tc_trained = sim.RunEpisode(&agent).total_cost;
+  const double tc_trained = RunEpisode(&sim, &agent).total_cost;
 
   EXPECT_LE(tc_trained, tc_untrained + 1e-9);
   // The optimum here is one vehicle shuttling F1 <-> F2; training should
   // get within striking distance of the greedy baseline.
   MinIncrementalLengthDispatcher baseline;
-  const double tc_baseline = sim.RunEpisode(&baseline).total_cost;
+  const double tc_baseline = RunEpisode(&sim, &baseline).total_cost;
   EXPECT_LE(tc_trained, 2.0 * tc_baseline);
 }
 
 TEST(DqnAgent, GraphVariantTrains) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   DqnFleetAgent agent(FastConfig(true, 7), "ST-DDGN");
   agent.set_training(true);
   TrainOptions options;
@@ -90,7 +90,7 @@ TEST(DqnAgent, GraphVariantTrains) {
 
 TEST(DqnAgent, EpsilonDecaysLinearly) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   AgentConfig config = FastConfig(false, 9);
   config.epsilon_start = 1.0;
   config.epsilon_end = 0.1;
@@ -109,36 +109,36 @@ TEST(DqnAgent, EpsilonDecaysLinearly) {
 
 TEST(DqnAgent, EvalModeIsDeterministic) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   DqnFleetAgent agent(FastConfig(false, 11), "DDQN");
-  const EpisodeResult a = sim.RunEpisode(&agent);
-  const EpisodeResult b = sim.RunEpisode(&agent);
+  const EpisodeResult a = RunEpisode(&sim, &agent);
+  const EpisodeResult b = RunEpisode(&sim, &agent);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
 }
 
 TEST(DqnAgent, SaveLoadReproducesPolicy) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   DqnFleetAgent agent(FastConfig(true, 13), "ST-DDGN");
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 5;
   RunEpisodes(&sim, &agent, options);
   agent.set_training(false);
-  const double tc = sim.RunEpisode(&agent).total_cost;
+  const double tc = RunEpisode(&sim, &agent).total_cost;
 
   std::stringstream buffer;
   agent.Save(&buffer);
   DqnFleetAgent restored(FastConfig(true, 999), "ST-DDGN");
   ASSERT_TRUE(restored.Load(&buffer));
-  EXPECT_DOUBLE_EQ(sim.RunEpisode(&restored).total_cost, tc);
+  EXPECT_DOUBLE_EQ(RunEpisode(&sim, &restored).total_cost, tc);
 }
 
 TEST(DqnAgent, QValuesMarkInfeasibleMinusInfinity) {
   // One order too heavy for a loaded vehicle forces infeasibility paths.
   const Instance inst = TrainingInstance();
   SimulatorConfig sc;
-  Simulator sim(&inst, sc);
+  Environment sim(&inst, sc);
 
   class Probe : public Dispatcher {
    public:
@@ -163,13 +163,13 @@ TEST(DqnAgent, QValuesMarkInfeasibleMinusInfinity) {
   };
   DqnFleetAgent agent(FastConfig(false, 15), "DDQN");
   Probe probe(&agent);
-  (void)sim.RunEpisode(&probe);
+  (void)RunEpisode(&sim, &probe);
 }
 
 TEST(DqnAgent, LiteralRewardFlagChangesRewards) {
   // Smoke test: the literal Eq.(6) variant still trains and dispatches.
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   AgentConfig config = FastConfig(false, 17);
   config.literal_used_flag_cost = true;
   DqnFleetAgent agent(config, "DDQN-literal");
@@ -178,12 +178,12 @@ TEST(DqnAgent, LiteralRewardFlagChangesRewards) {
   options.episodes = 10;
   RunEpisodes(&sim, &agent, options);
   agent.set_training(false);
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&sim, &agent).all_served());
 }
 
 TEST(DqnAgent, BestWeightsSnapshotRestores) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   AgentConfig config = FastConfig(false, 31);
   config.track_best_weights = true;
   config.best_weights_max_epsilon = 1.0;  // Every episode is a candidate.
@@ -194,7 +194,7 @@ TEST(DqnAgent, BestWeightsSnapshotRestores) {
   const TrainingCurve curve = RunEpisodes(&sim, &agent, options);
   agent.set_training(false);
   agent.FinalizeTraining();
-  const double tc_restored = sim.RunEpisode(&agent).total_cost;
+  const double tc_restored = RunEpisode(&sim, &agent).total_cost;
   // The greedy policy from restored weights should not be dramatically
   // worse than the best training episode (training episodes include
   // exploration noise, so exact equality is not expected).
@@ -205,28 +205,28 @@ TEST(DqnAgent, BestWeightsSnapshotRestores) {
 
 TEST(DqnAgent, FinalizeTrainingWithoutSnapshotIsNoop) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   AgentConfig config = FastConfig(false, 33);
   config.track_best_weights = false;
   DqnFleetAgent agent(config, "DDQN");
-  const double before = sim.RunEpisode(&agent).total_cost;
+  const double before = RunEpisode(&sim, &agent).total_cost;
   agent.FinalizeTraining();  // No snapshot exists: must not change weights.
-  EXPECT_DOUBLE_EQ(sim.RunEpisode(&agent).total_cost, before);
+  EXPECT_DOUBLE_EQ(RunEpisode(&sim, &agent).total_cost, before);
 }
 
 // ---------------------------------------------------------- ActorCritic --
 
 TEST(ActorCritic, UntrainedAgentIsValidDispatcher) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   ActorCriticAgent agent(FastConfig(false, 19), "AC");
-  const EpisodeResult r = sim.RunEpisode(&agent);
+  const EpisodeResult r = RunEpisode(&sim, &agent);
   EXPECT_TRUE(r.all_served());
 }
 
 TEST(ActorCritic, PolicySumsToOneOverFeasible) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   ActorCriticAgent agent(FastConfig(false, 21), "AC");
 
   class Probe : public Dispatcher {
@@ -251,12 +251,12 @@ TEST(ActorCritic, PolicySumsToOneOverFeasible) {
     ActorCriticAgent* agent_;
   };
   Probe probe(&agent);
-  (void)sim.RunEpisode(&probe);
+  (void)RunEpisode(&sim, &probe);
 }
 
 TEST(ActorCritic, TrainingRunsAndTracksEpisodes) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   ActorCriticAgent agent(FastConfig(false, 23), "AC");
   agent.set_training(true);
   TrainOptions options;
@@ -271,16 +271,16 @@ TEST(ActorCritic, TrainingRunsAndTracksEpisodes) {
 
 TEST(ActorCritic, GraphVariantDispatchesAndTrains) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   AgentConfig config = FastConfig(true, 41);  // Graph flags on.
   ActorCriticAgent agent(config, "Graph-AC");
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&sim, &agent).all_served());
   agent.set_training(true);
   TrainOptions options;
   options.episodes = 8;
   RunEpisodes(&sim, &agent, options);
   agent.set_training(false);
-  EXPECT_TRUE(sim.RunEpisode(&agent).all_served());
+  EXPECT_TRUE(RunEpisode(&sim, &agent).all_served());
   EXPECT_EQ(agent.episodes_trained(), 8);
 }
 
@@ -288,7 +288,7 @@ TEST(ActorCritic, GraphVariantDispatchesAndTrains) {
 
 TEST(Trainer, RecordsCapacityDiffWhenDemandGiven) {
   const Instance inst = TrainingInstance();
-  Simulator sim(&inst);
+  Environment sim(&inst);
   MinIncrementalLengthDispatcher baseline;
   TrainOptions options;
   options.episodes = 3;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/greedy_baselines.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -91,8 +91,8 @@ TEST(Baselines, Fig6CharacterOnSyntheticDay) {
   const Instance inst = MakeTestInstance(orders, /*num_vehicles=*/8);
 
   auto run = [&](Dispatcher* d) {
-    Simulator sim(&inst);
-    return sim.RunEpisode(d);
+    Environment sim(&inst);
+    return RunEpisode(&sim, d);
   };
   MinIncrementalLengthDispatcher b1;
   MinTotalLengthDispatcher b2;

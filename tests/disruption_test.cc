@@ -19,7 +19,7 @@
 #include "rl/config.h"
 #include "rl/dqn_agent.h"
 #include "sim/disruption.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -130,9 +130,9 @@ TEST(DisruptedEpisode, BreakdownsKeepEpisodeFeasible) {
   config.record_plan = true;
   config.disruption.seed = 7;
   config.disruption.breakdown_prob = 0.7;
-  Simulator sim(&inst, config);
+  Environment sim(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&sim, &greedy);
 
   EXPECT_GT(result.num_breakdowns, 0);
   EXPECT_EQ(result.num_served + result.num_unserved, result.num_orders);
@@ -152,9 +152,9 @@ TEST(DisruptedEpisode, AllFaultKindsTogetherStayFeasible) {
   config.record_plan = true;
   config.buffer_window_min = 30.0;  // Lets cancels land pre-dispatch too.
   config.disruption = AllFaultsConfig(11);
-  Simulator sim(&inst, config);
+  Environment sim(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&sim, &greedy);
 
   EXPECT_EQ(result.num_served + result.num_unserved, result.num_orders);
   EXPECT_TRUE(CheckEpisodeFeasible(inst, result));
@@ -168,9 +168,9 @@ TEST(DisruptedEpisode, CancellationsWithBufferingSkipOrders) {
   config.disruption.seed = 13;
   config.disruption.cancel_prob = 1.0;
   config.disruption.cancel_max_delay_min = 30.0;
-  Simulator sim(&inst, config);
+  Environment sim(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&sim, &greedy);
 
   EXPECT_GT(result.num_cancelled, 0);
   int cancelled_skips = 0;
@@ -187,9 +187,9 @@ TEST(DisruptedEpisode, TravelInflationDelaysButKeepsFeasibility) {
   config.record_plan = true;
   config.disruption.seed = 19;
   config.disruption.inflation_prob = 1.0;
-  Simulator sim(&inst, config);
+  Environment sim(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&sim, &greedy);
 
   EXPECT_EQ(result.num_breakdowns, 0);
   EXPECT_EQ(result.num_cancelled, 0);
@@ -207,19 +207,160 @@ TEST(DisruptedEpisode, StreamFollowsSimulatorEpisodeCounter) {
   config.disruption.cancel_prob = 0.4;
   MinIncrementalLengthDispatcher greedy;
 
-  Simulator continuous(&inst, config);
+  Environment continuous(&inst, config);
   EpisodeResult third;
-  for (int e = 0; e < 3; ++e) third = continuous.RunEpisode(&greedy);
+  for (int e = 0; e < 3; ++e) third = RunEpisode(&continuous, &greedy);
 
-  Simulator resumed(&inst, config);
+  Environment resumed(&inst, config);
   resumed.set_episodes_run(2);
-  const EpisodeResult replay = resumed.RunEpisode(&greedy);
+  const EpisodeResult replay = RunEpisode(&resumed, &greedy);
 
   EXPECT_EQ(replay.total_cost, third.total_cost);
   EXPECT_EQ(replay.nuv, third.nuv);
   EXPECT_EQ(replay.num_breakdowns, third.num_breakdowns);
   EXPECT_EQ(replay.num_cancelled, third.num_cancelled);
   EXPECT_EQ(replay.disruption_trace.size(), third.disruption_trace.size());
+}
+
+// ------------------------------------------------ disrupted-day golden --
+
+/// A tight fleet (3 vehicles, 100 orders) on which seeded breakdowns find
+/// uncommitted pickups to re-plan, and sometimes nowhere to put them.
+Instance TightDayInstance() {
+  DpdpDataset dataset(StandardDatasetConfig(3, 60.0));
+  return dataset.SampleInstance("golden", 100, 3, 0, 2, 4);
+}
+
+SimulatorConfig DisruptedDayConfig(uint64_t seed) {
+  SimulatorConfig config;
+  config.record_plan = true;
+  config.disruption.seed = seed;
+  config.disruption.breakdown_prob = 1.0;
+  config.disruption.cancel_prob = 0.2;
+  return config;
+}
+
+/// "v<vehicle>:<orders_replanned>/<orders_dropped>" per breakdown event,
+/// in trace order.
+std::string BreakdownOutcomes(const EpisodeResult& result) {
+  std::string out;
+  for (const AppliedDisruption& applied : result.disruption_trace) {
+    if (applied.event.kind != DisruptionKind::kBreakdown) continue;
+    if (!out.empty()) out += ' ';
+    out += 'v' + std::to_string(applied.event.vehicle) + ':' +
+           std::to_string(applied.orders_replanned) + '/' +
+           std::to_string(applied.orders_dropped);
+  }
+  return out;
+}
+
+struct DisruptedDayGolden {
+  uint64_t seed;
+  double total_cost;
+  int num_served;
+  const char* breakdowns;
+  std::vector<int> order_assignment;
+};
+
+TEST(DisruptedDayGolden, BaselineOneReplansPinned) {
+  // Absolute outcomes of the breakdown re-plan under Baseline 1, so a
+  // refactor of the re-plan path cannot drift silently (the determinism
+  // goldens only compare runs with each other).
+  const std::vector<DisruptedDayGolden> goldens = {
+      {1, 1475.0685025775992, 61, "v2:0/0 v0:0/0 v1:4/0",
+        {
+          1, 1, -1, 1, -1, 1, 0, 0, 0, 0, 2, 2, -1, 2, 2, -1,
+          -1, 0, -1, -1, -1, 2, -1, -1, 2, 0, 2, -1, -1, -1, -1, -1,
+          -1, 1, 1, 1, 1, 0, -1, -1, 0, 2, 1, -1, -1, -1, -1, -1,
+          1, -1, 1, 0, 1, 2, 2, 1, 2, 0, -1, 1, 2, 0, -1, 0,
+          -1, 0, -1, -1, 1, -1, 2, -1, 2, 1, 2, -1, -1, -1, -1, 0,
+          -1, 0, 0, -1, 0, -1, -1, 0, 0, 2, 2, 2, 1, 2, 0, 2,
+          0, 1, 0, 1}},
+      {2, 1462.1408161223967, 65, "v0:0/0 v1:1/0 v2:0/0",
+        {
+          1, 1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, -1, 2, -1, 1,
+          1, -1, 1, -1, -1, 1, -1, -1, 1, 2, 1, 1, -1, -1, 2, -1,
+          2, 0, 0, 0, -1, -1, -1, -1, 2, 0, 0, 2, -1, -1, -1, 1,
+          -1, -1, 1, -1, -1, 1, -1, 1, 0, 0, 0, -1, 1, 0, -1, 2,
+          0, 2, 1, 2, 0, -1, -1, 2, 0, 1, -1, 2, -1, -1, 1, -1,
+          -1, 2, 2, -1, 0, 2, 1, 1, 2, -1, 1, 0, -1, 2, 2, -1,
+          1, 1, 1, 2}},
+      {3, 1472.3957448281599, 64, "v2:0/2 v1:1/0 v0:0/0",
+        {
+          1, 1, 1, 1, 1, -1, 1, 1, 1, 0, 0, 0, 2, 2, 2, 0,
+          -1, 1, -1, -1, 2, 2, -1, -1, 2, 0, 1, 1, 2, 1, 0, -1,
+          0, 0, -1, 2, -1, -1, -1, -1, -1, 2, 0, -1, -1, -1, -1, 1,
+          -1, -1, 1, 2, 1, 0, 1, 0, 2, -1, 1, 0, 1, 2, 0, 2,
+          0, -1, -1, -1, 1, 2, 0, 0, -1, -1, 1, -1, -1, -1, -1, 0,
+          -1, -1, 0, 1, -1, -1, 1, 0, 0, -1, 0, 1, 1, 1, 2, 2,
+          -1, 2, 2, -1}},
+  };
+  const Instance inst = TightDayInstance();
+  int replanned = 0;
+  int dropped = 0;
+  for (const DisruptedDayGolden& golden : goldens) {
+    SCOPED_TRACE("seed " + std::to_string(golden.seed));
+    Environment env(&inst, DisruptedDayConfig(golden.seed));
+    MinIncrementalLengthDispatcher greedy;
+    const EpisodeResult result = RunEpisode(&env, &greedy);
+    EXPECT_DOUBLE_EQ(result.total_cost, golden.total_cost);
+    EXPECT_EQ(result.num_served, golden.num_served);
+    EXPECT_EQ(BreakdownOutcomes(result), golden.breakdowns);
+    EXPECT_EQ(result.order_assignment, golden.order_assignment);
+    EXPECT_TRUE(CheckEpisodeFeasible(inst, result));
+    replanned += result.num_replanned;
+    for (const OrderSkip& skip : result.skipped_orders) {
+      if (skip.reason == SkipReason::kBreakdownDropped) ++dropped;
+    }
+  }
+  // The golden covers both re-plan outcomes.
+  EXPECT_GT(replanned, 0);
+  EXPECT_GT(dropped, 0);
+}
+
+TEST(DisruptedDayGolden, ZeroLengthRepairNeverTakesBackItsOrders) {
+  // With a zero-length repair the broken vehicle is unheld again at the
+  // breakdown instant, so only the explicit exclusion keeps the re-plan
+  // from handing its extracted orders straight back. Every order pulled
+  // off must leave it: the orders that left vehicle v across the step
+  // that applied v's breakdown number exactly replanned + dropped.
+  const Instance inst = TightDayInstance();
+  int checked_replans = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimulatorConfig config = DisruptedDayConfig(seed);
+    config.disruption.cancel_prob = 0.0;
+    config.disruption.breakdown_min_duration_min = 0.0;
+    config.disruption.breakdown_max_duration_min = 0.0;
+    Environment env(&inst, config);
+    env.Reset();
+    bool pending = true;
+    while (pending) {
+      const std::vector<int> before = env.result().order_assignment;
+      const size_t first_event = env.result().disruption_trace.size();
+      pending = env.AdvanceToDecision();
+      const EpisodeResult& result = env.result();
+      // Steps with several breakdowns can chain moves between broken
+      // vehicles; the count below is exact for a single one.
+      if (result.disruption_trace.size() != first_event + 1) {
+        if (pending) env.Apply(GreedyInsertionFallback(env.ObserveDecision()));
+        continue;
+      }
+      const AppliedDisruption& applied = result.disruption_trace.back();
+      ASSERT_EQ(applied.event.kind, DisruptionKind::kBreakdown);
+      ASSERT_EQ(applied.event.duration_min, 0.0);
+      const int v = applied.event.vehicle;
+      int moved_off = 0;
+      for (size_t o = 0; o < before.size(); ++o) {
+        if (before[o] == v && result.order_assignment[o] != v) ++moved_off;
+      }
+      EXPECT_EQ(moved_off, applied.orders_replanned + applied.orders_dropped);
+      checked_replans += applied.orders_replanned;
+      if (pending) env.Apply(GreedyInsertionFallback(env.ObserveDecision()));
+    }
+    EXPECT_TRUE(CheckEpisodeFeasible(inst, env.result()));
+  }
+  EXPECT_GT(checked_replans, 0);
 }
 
 // ------------------------------------------------- graceful degradation --
@@ -240,13 +381,13 @@ TEST(GracefulDegradation, InvalidChoiceFallsBackToGreedy) {
   SimulatorConfig config;
   config.record_plan = true;
 
-  Simulator sim_broken(&inst, config);
+  Environment sim_broken(&inst, config);
   BrokenDispatcher broken(-1);
-  const EpisodeResult degraded = sim_broken.RunEpisode(&broken);
+  const EpisodeResult degraded = RunEpisode(&sim_broken, &broken);
 
-  Simulator sim_greedy(&inst, config);
+  Environment sim_greedy(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult reference = sim_greedy.RunEpisode(&greedy);
+  const EpisodeResult reference = RunEpisode(&sim_greedy, &greedy);
 
   // Every decision degraded, and the fallback IS Baseline 1, so the two
   // episodes are identical.
@@ -259,9 +400,9 @@ TEST(GracefulDegradation, InvalidChoiceFallsBackToGreedy) {
 
 TEST(GracefulDegradation, OutOfRangeChoiceAlsoDegrades) {
   const Instance inst = CampusInstance();
-  Simulator sim(&inst, SimulatorConfig{});
+  Environment sim(&inst, SimulatorConfig{});
   BrokenDispatcher broken(1 << 20);
-  const EpisodeResult result = sim.RunEpisode(&broken);
+  const EpisodeResult result = RunEpisode(&sim, &broken);
   EXPECT_EQ(result.num_degraded_decisions, result.num_served);
   EXPECT_GT(result.num_served, 0);
 }
@@ -302,12 +443,12 @@ TEST(GracefulDegradation, NanQValuesDegradeEveryDecision) {
 
   SimulatorConfig config;
   config.record_plan = true;
-  Simulator sim(&inst, config);
-  const EpisodeResult degraded = sim.RunEpisode(&agent);
+  Environment sim(&inst, config);
+  const EpisodeResult degraded = RunEpisode(&sim, &agent);
 
-  Simulator sim_greedy(&inst, config);
+  Environment sim_greedy(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult reference = sim_greedy.RunEpisode(&greedy);
+  const EpisodeResult reference = RunEpisode(&sim_greedy, &greedy);
 
   // The NaN guard rejects every forward pass, so the whole episode runs on
   // the greedy fallback instead of crashing or propagating NaN costs.
@@ -332,9 +473,9 @@ TEST(DisruptionTrace, WritesCsvWithHeaderAndRows) {
   const Instance inst = CampusInstance();
   SimulatorConfig config;
   config.disruption = AllFaultsConfig(37);
-  Simulator sim(&inst, config);
+  Environment sim(&inst, config);
   MinIncrementalLengthDispatcher greedy;
-  const EpisodeResult result = sim.RunEpisode(&greedy);
+  const EpisodeResult result = RunEpisode(&sim, &greedy);
   ASSERT_FALSE(result.disruption_trace.empty());
 
   const std::string path = ::testing::TempDir() + "/dpdp_trace.csv";

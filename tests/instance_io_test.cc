@@ -6,7 +6,7 @@
 #include "datagen/dataset.h"
 #include "exp/harness.h"
 #include "model/instance_io.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "tests/test_util.h"
 
 namespace dpdp {
@@ -169,6 +169,27 @@ TEST(InstanceIo, LoadRejectsDuplicateDistanceEntries) {
       << r.status();
 }
 
+TEST(InstanceIo, LoadRejectsDiagonalDistanceEntry) {
+  // A diagonal entry in place of a real pair keeps the entry count right,
+  // so without its own check the missing pair would load as distance 0.
+  const Instance original =
+      MakeTestInstance({MakeOrder(0, 1, 2, 5.0, 10.0, 200.0)});
+  std::stringstream buffer;
+  SaveInstanceCsv(original, &buffer);
+  std::string text = buffer.str();
+  const size_t pair = text.find("\n2,1,", text.find("[distances]"));
+  ASSERT_NE(pair, std::string::npos);
+  const size_t pair_end = text.find('\n', pair + 1);
+  ASSERT_NE(pair_end, std::string::npos);
+  text.replace(pair + 1, pair_end - pair - 1, "0,0,0");
+  std::stringstream diagonal(text);
+  const Result<Instance> r = LoadInstanceCsv(&diagonal);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find("diagonal"), std::string::npos)
+      << r.status();
+}
+
 TEST(InstanceIo, LoadRejectsMissingMetaSection) {
   const Instance original =
       MakeTestInstance({MakeOrder(0, 1, 2, 5.0, 10.0, 200.0)});
@@ -209,10 +230,10 @@ TEST(InstanceIo, LoadedInstanceSimulatesIdentically) {
   ASSERT_TRUE(loaded.ok());
 
   MinIncrementalLengthDispatcher b1;
-  Simulator sim_a(&original);
-  Simulator sim_b(&loaded.value());
-  const EpisodeResult a = sim_a.RunEpisode(&b1);
-  const EpisodeResult b = sim_b.RunEpisode(&b1);
+  Environment sim_a(&original);
+  Environment sim_b(&loaded.value());
+  const EpisodeResult a = RunEpisode(&sim_a, &b1);
+  const EpisodeResult b = RunEpisode(&sim_b, &b1);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.nuv, b.nuv);
 }

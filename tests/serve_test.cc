@@ -20,7 +20,7 @@
 #include "serve/load_generator.h"
 #include "serve/model_server.h"
 #include "serve/service_dispatcher.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "test_util.h"
 
 namespace dpdp::serve {
@@ -226,8 +226,8 @@ void RunServedMatchesLocal(const AgentConfig& config) {
   sim_config.record_plan = true;
 
   DqnFleetAgent agent(config, "local");
-  Simulator local_sim(&inst, sim_config);
-  const EpisodeResult local = local_sim.RunEpisode(&agent);
+  Environment local_sim(&inst, sim_config);
+  const EpisodeResult local = RunEpisode(&local_sim, &agent);
   ASSERT_GT(local.num_decisions, 0);
 
   ModelServer models(config);
@@ -236,8 +236,8 @@ void RunServedMatchesLocal(const AgentConfig& config) {
   serve_config.max_wait_us = 200;
   DispatchService service(serve_config, &models);
   ServiceDispatcher dispatcher(&service);
-  Simulator served_sim(&inst, sim_config);
-  const EpisodeResult served = served_sim.RunEpisode(&dispatcher);
+  Environment served_sim(&inst, sim_config);
+  const EpisodeResult served = RunEpisode(&served_sim, &dispatcher);
   service.Stop();
 
   ExpectSameEpisode(local, served);
@@ -311,8 +311,8 @@ TEST(DispatchServiceTest, ShedPathMatchesGreedyInsertionBaseline) {
   serve_config.queue_capacity = 0;
   DispatchService service(serve_config, &models);
   ServiceDispatcher dispatcher(&service, "shed-client");
-  Simulator served_sim(&inst, sim_config);
-  const EpisodeResult shed = served_sim.RunEpisode(&dispatcher);
+  Environment served_sim(&inst, sim_config);
+  const EpisodeResult shed = RunEpisode(&served_sim, &dispatcher);
   service.Stop();
 
   ASSERT_GT(shed.num_decisions, 0);
@@ -323,8 +323,8 @@ TEST(DispatchServiceTest, ShedPathMatchesGreedyInsertionBaseline) {
   // Shed decisions are exactly Baseline 1 (min incremental length), so the
   // whole degraded episode equals the baseline's — and stays feasible.
   MinIncrementalLengthDispatcher baseline;
-  Simulator baseline_sim(&inst, sim_config);
-  const EpisodeResult expected = baseline_sim.RunEpisode(&baseline);
+  Environment baseline_sim(&inst, sim_config);
+  const EpisodeResult expected = RunEpisode(&baseline_sim, &baseline);
   ExpectSameEpisode(expected, shed);
   EXPECT_TRUE(dpdp::testing::CheckEpisodeFeasible(inst, shed));
 }

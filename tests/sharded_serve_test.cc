@@ -23,7 +23,7 @@
 #include "serve/load_generator.h"
 #include "serve/model_server.h"
 #include "serve/shard_router.h"
-#include "sim/simulator.h"
+#include "sim/environment.h"
 #include "test_util.h"
 #include "util/rng.h"
 

@@ -22,7 +22,6 @@
 #include "rl/dqn_agent.h"
 #include "rl/replay.h"
 #include "sim/environment.h"
-#include "sim/simulator.h"
 #include "test_util.h"
 #include "train/actor.h"
 #include "train/apex.h"
@@ -241,10 +240,10 @@ TEST(FoldEpisodeRewardsTest, FoldsEpisodeMeanIntoEveryStep) {
   EXPECT_TRUE(folded[2].terminal);
 }
 
-// --- Environment step-API shim ---------------------------------------------
+// --- RunEpisode vs the step API --------------------------------------------
 
 /// The greedy-insertion rule as a plain Dispatcher (not an Agent), to
-/// drive the facade.
+/// drive RunEpisode.
 class GreedyDispatcher : public Dispatcher {
  public:
   const char* name() const override { return "greedy"; }
@@ -253,19 +252,20 @@ class GreedyDispatcher : public Dispatcher {
   }
 };
 
-TEST(EnvironmentStepTest, StepLoopMatchesSimulatorFacade) {
+TEST(EnvironmentStepTest, StepLoopMatchesRunEpisode) {
   const Instance instance = MakeTrainInstance();
-  Simulator facade(&instance);
+  Environment driven(&instance);
   GreedyDispatcher greedy;
-  const EpisodeResult via_facade = facade.RunEpisode(&greedy);
+  const EpisodeResult via_run_episode = RunEpisode(&driven, &greedy);
 
   Environment env(&instance);
   env.Reset();
   while (env.AdvanceToDecision()) {
     env.Apply(GreedyInsertionFallback(env.ObserveDecision()));
   }
-  ExpectSameEpisode(via_facade, env.result());
-  EXPECT_EQ(via_facade.num_orders, static_cast<int>(instance.orders.size()));
+  ExpectSameEpisode(via_run_episode, env.result());
+  EXPECT_EQ(via_run_episode.num_orders,
+            static_cast<int>(instance.orders.size()));
 }
 
 // --- Deterministic actor-count invariance ----------------------------------
@@ -398,8 +398,8 @@ TEST(ApexTrainerTest, GreedyFabricEpisodeMatchesLocalAgent) {
   const ApexReport report = trainer.Run();
 
   DqnFleetAgent local(agent_config, "local");
-  Simulator sim(&instance);
-  const EpisodeResult local_result = sim.RunEpisode(&local);
+  Environment sim(&instance);
+  const EpisodeResult local_result = RunEpisode(&sim, &local);
   ASSERT_EQ(report.episodes.size(), 1u);
   ExpectSameEpisode(report.episodes[0], local_result);
   EXPECT_EQ(report.explore_decisions, 0);
